@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Protocol, Sequence, Union
 
 from ..obs import collector as _trace
@@ -42,6 +43,8 @@ __all__ = [
     "ProvisioningError",
     "TenantProvider",
 ]
+
+_NO_HOLDINGS: Mapping[int, int] = MappingProxyType({})
 
 
 class ProvisioningError(RuntimeError):
@@ -181,7 +184,8 @@ class CloudProvider:
         }
         self._by_tenant: dict[int, dict[str, VMInstance]] = {0: {}}
         self._cores_by_tenant: dict[int, int] = {}
-        self._class_cores_by_tenant: dict[tuple[int, str], int] = {}
+        #: class name → tenant → cores held in that class.
+        self._class_cores: dict[str, dict[int, int]] = {}
         # Contention accounting (kept incrementally so fleet utilization
         # reporting works identically in serial and SoA execution modes).
         # Live count mirrors the fleet dict so the per-provision
@@ -256,7 +260,14 @@ class CloudProvider:
         if vm_class is None:
             return self._cores_by_tenant.get(tenant, 0)
         name = vm_class if isinstance(vm_class, str) else vm_class.name
-        return self._class_cores_by_tenant.get((tenant, name), 0)
+        return self._class_cores.get(name, _NO_HOLDINGS).get(tenant, 0)
+
+    def class_holdings(self, vm_class: VMClass | str) -> Mapping[int, int]:
+        """Read-only tenant → cores held within one class, for reviewers
+        that need every tenant's holding at once."""
+        name = vm_class if isinstance(vm_class, str) else vm_class.name
+        held = self._class_cores.get(name)
+        return _NO_HOLDINGS if held is None else MappingProxyType(held)
 
     def peak_active_by_class(self) -> dict[str, int]:
         """High-water mark of concurrently active instances per class."""
@@ -271,6 +282,11 @@ class CloudProvider:
     def tenant_ids(self) -> list[int]:
         """Tenants that have provisioned (or pre-registered) so far."""
         return sorted(self._by_tenant)
+
+    def tenant_count(self) -> int:
+        """``len(tenant_ids())`` without the sort; tenants are never
+        forgotten, so a change in count means a tenant was added."""
+        return len(self._by_tenant)
 
     def tenant_billing(self, tenant: int) -> BillingMeter:
         """The per-tenant billing meter (created on first use)."""
@@ -362,10 +378,8 @@ class CloudProvider:
         self._cores_by_tenant[tenant] = (
             self._cores_by_tenant.get(tenant, 0) + vm_class.cores
         )
-        ck = (tenant, vm_class.name)
-        self._class_cores_by_tenant[ck] = (
-            self._class_cores_by_tenant.get(ck, 0) + vm_class.cores
-        )
+        held = self._class_cores.setdefault(vm_class.name, {})
+        held[tenant] = held.get(tenant, 0) + vm_class.cores
         if _trace.enabled():
             _trace.emit(
                 "vm_provisioned",
@@ -425,9 +439,9 @@ class CloudProvider:
         self._cores_by_tenant[instance.tenant] = (
             self._cores_by_tenant.get(instance.tenant, 0) - instance.cores
         )
-        ck = (instance.tenant, name)
-        self._class_cores_by_tenant[ck] = (
-            self._class_cores_by_tenant.get(ck, instance.cores) - instance.cores
+        held = self._class_cores.setdefault(name, {})
+        held[instance.tenant] = (
+            held.get(instance.tenant, instance.cores) - instance.cores
         )
 
     def terminate(self, instance: VMInstance, now: float) -> None:

@@ -29,7 +29,8 @@ resource cost:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from functools import partial
+from typing import Callable, Mapping, Optional
 
 from ..cloud.resources import VMClass
 from ..dataflow.graph import DynamicDataflow
@@ -139,6 +140,8 @@ class RuntimeAdaptation:
         self._rank_cache: dict[tuple, tuple] = {}
         #: pe name → transitive successors in _downstream_units visit order
         self._succ_closure: dict[str, tuple[str, ...]] = {}
+        #: pe name → its dataflow neighbours (successors ∪ predecessors)
+        self._neighbours: dict[str, frozenset[str]] = {}
         #: ascending (capacity, class) pairs for best-fit provisioning
         self._provision_order = [
             (klass.total_capacity, klass) for klass in self.catalog
@@ -430,7 +433,6 @@ class RuntimeAdaptation:
     ) -> None:
         cfg = self.config
         df = self.dataflow
-        target = min(1.0, cfg.omega_min + cfg.epsilon / 2)
 
         # A PE is a bottleneck if it cannot serve the constraint's share
         # of its *ideal* arrivals plus its backlog-drain rate.  (Sizing
@@ -450,60 +452,80 @@ class RuntimeAdaptation:
             if required > _EPS:
                 required_by_pe.append((name, required))
 
+        # One grant changes only the granted PE's capacity, so the fleet's
+        # capacities are computed once and that single entry is refreshed
+        # per grant (pe_units sums in fleet order, bit-identical to the
+        # capacities() aggregate); used cores are counted, not re-summed.
+        caps = cluster.capacities(df, selection)
+        used = cluster.total_used_cores()
+        #: unit sum of each PE granted a core so far in this call
+        units: dict[str, float] = {}
         while True:
-            caps = cluster.capacities(df, selection)
-            flow = constrained_rates(df, selection, input_rates, caps)
-            omega = relative_application_throughput(df, flow)
-
             bottleneck = None
             worst = 1.0 - 1e-6
             for name, required in required_by_pe:
-                ratio = caps.get(name, 0.0) / required
+                ratio = caps[name] / required
                 if ratio < worst:
                     bottleneck = name
                     worst = ratio
-            if bottleneck is None:
-                if omega >= target - _EPS:
-                    break
-                # Ω trails the target yet no PE is saturated (e.g. input
-                # rates dipped): nothing a core can fix right now.
+            # No saturated PE (Ω may still trail the target, e.g. input
+            # rates dipped: nothing a core can fix right now), or the cap.
+            if bottleneck is None or used >= cfg.max_cores:
                 break
-            if cluster.total_used_cores() >= cfg.max_cores:
-                break
-            self._add_core(cluster, bottleneck, snapshot, selection)
+            held = units.get(bottleneck)
+            self._add_core(
+                cluster,
+                bottleneck,
+                partial(
+                    self._provision_class,
+                    cluster, bottleneck, snapshot, selection, held,
+                ),
+            )
+            used += 1
+            units[bottleneck] = cluster.pe_units(bottleneck)
+            caps[bottleneck] = units[bottleneck] / (
+                df.active_alternate(selection, bottleneck).cost
+            )
 
     def _add_core(
         self,
         cluster: ClusterView,
         pe_name: str,
-        snapshot: Snapshot,
-        selection: Mapping[str, str],
-    ) -> None:
-        """Grant one more core to ``pe_name``.
+        new_class: Callable[[], VMClass],
+    ) -> bool:
+        """Grant one more core to ``pe_name``; True when a VM was added.
 
         Free (already-paid) cores are used before provisioning.  Among
         free cores the preference order keeps traffic local: VMs already
         hosting this PE, then VMs hosting a dataflow *neighbour*
         (collocation avoids network transfer, §5), then the fastest
-        remaining core.  New VMs follow the strategy's class policy.
+        remaining core, the first in fleet order on ties.  Only when no
+        core is free is a new VM of class ``new_class()`` planned.
         """
-        neighbours = set(self.dataflow.successors(pe_name)) | set(
-            self.dataflow.predecessors(pe_name)
-        )
-        free = sorted(
-            cluster.with_free_cores(),
-            key=lambda vm: (
-                pe_name not in vm.allocations,
-                not any(n in vm.allocations for n in neighbours),
+        neighbours = self._neighbours.get(pe_name)
+        if neighbours is None:
+            neighbours = self._neighbours[pe_name] = frozenset(
+                self.dataflow.successors(pe_name)
+            ) | frozenset(self.dataflow.predecessors(pe_name))
+        best = None
+        best_key = None
+        for vm in cluster.vms:
+            allocations = vm.allocations
+            if vm.vm_class.cores <= sum(allocations.values()):
+                continue
+            key = (
+                pe_name not in allocations,
+                neighbours.isdisjoint(allocations),
                 -vm.core_units(),
-            ),
-        )
-        if free:
-            free[0].allocate(pe_name, 1)
-            return
-        cluster.new_vm(
-            self._provision_class(cluster, pe_name, snapshot, selection)
-        ).allocate(pe_name, 1)
+            )
+            # Strict < keeps the first minimum: the head of a stable sort.
+            if best is None or key < best_key:
+                best, best_key = vm, key
+        if best is not None:
+            best.allocate(pe_name, 1)
+            return False
+        cluster.new_vm(new_class()).allocate(pe_name, 1)
+        return True
 
     def _provision_class(
         self,
@@ -511,14 +533,21 @@ class RuntimeAdaptation:
         pe_name: str,
         snapshot: Snapshot,
         selection: Mapping[str, str],
+        units: Optional[float] = None,
     ) -> VMClass:
         """Local: always the largest class.  Global: cheapest class that
-        covers the PE's remaining unit deficit (best fit)."""
+        covers the PE's remaining unit deficit (best fit).
+
+        ``units`` is the PE's current :meth:`ClusterView.pe_units` when
+        the caller already holds it.
+        """
         if self.config.strategy == "local":
             return self.catalog[-1]
+        if units is None:
+            units = cluster.pe_units(pe_name)
         cost = self.dataflow.active_alternate(selection, pe_name).cost
         demand_units = self._demand_rate(snapshot, pe_name) * cost
-        deficit = max(demand_units - cluster.pe_units(pe_name), 0.0)
+        deficit = max(demand_units - units, 0.0)
         # _provision_order pairs ascending capacities with their classes,
         # hoisting the per-call total_capacity recomputation.
         for capacity, klass in self._provision_order:
@@ -669,21 +698,9 @@ class HedgedAdaptation(RuntimeAdaptation):
 
         replaced = 0
         for pe_name, klass in displaced:
-            neighbours = set(self.dataflow.successors(pe_name)) | set(
-                self.dataflow.predecessors(pe_name)
-            )
-            free = sorted(
-                cluster.with_free_cores(),
-                key=lambda vm: (
-                    pe_name not in vm.allocations,
-                    not any(n in vm.allocations for n in neighbours),
-                    -vm.core_units(),
-                ),
-            )
-            if free:
-                free[0].allocate(pe_name, 1)
-            else:
-                cluster.new_vm(self._durable_twin(klass)).allocate(pe_name, 1)
+            if self._add_core(
+                cluster, pe_name, partial(self._durable_twin, klass)
+            ):
                 replaced += 1
 
         if _trace.enabled():

@@ -185,8 +185,17 @@ class ClusterView:
         return [vm for vm in self._vms.values() if vm.free_cores > 0]
 
     def pe_units(self, pe_name: str) -> float:
-        """Total standard capacity units allocated to a PE."""
-        return sum(vm.units_for(pe_name) for vm in self._vms.values())
+        """Total standard capacity units allocated to a PE.
+
+        Sums in fleet order, skipping VMs that do not host the PE, so the
+        value is bit-identical to the PE's :meth:`pe_units_map` entry.
+        """
+        total = 0.0
+        for vm in self._vms.values():
+            cores = vm.allocations.get(pe_name)
+            if cores is not None:
+                total += cores * (vm.vm_class.core_speed * vm.coefficient)
+        return total
 
     def pe_units_map(self) -> dict[str, float]:
         """Standard capacity units per PE, for every hosted PE, in one pass.
@@ -195,7 +204,7 @@ class ClusterView:
         least one core, but O(Σ allocations) instead of O(VMs × PEs): each
         VM contributes only the PEs it actually hosts.  Per-PE float sums
         accumulate in the same VM order as :meth:`pe_units`, so the values
-        are bit-identical (skipped terms are exact zeros).
+        are bit-identical.
         """
         totals: dict[str, float] = {}
         get = totals.get

@@ -84,25 +84,41 @@ class ReconcileReport:
         )
 
 
+#: (id(catalog), wanted name, wanted capacity) → (catalog, candidate order).
+#: The catalog is kept so its id cannot be reused while the entry lives.
+_candidate_orders: dict[tuple, tuple[tuple, tuple[VMClass, ...]]] = {}
+
+
+def _candidate_order(
+    catalog: tuple[VMClass, ...], wanted: VMClass
+) -> tuple[VMClass, ...]:
+    """Fallback candidates for ``wanted``: nearest-smaller first, then
+    nearest-larger (the catalog is sorted by rated capacity), memoized per
+    (catalog, wanted class)."""
+    key = (id(catalog), wanted.name, wanted.total_capacity)
+    hit = _candidate_orders.get(key)
+    if hit is not None and hit[0] is catalog:
+        return hit[1]
+    below = [c for c in catalog if c.total_capacity < wanted.total_capacity]
+    above = [c for c in catalog if c.total_capacity > wanted.total_capacity]
+    order = tuple(
+        c for c in list(reversed(below)) + above if c.name != wanted.name
+    )
+    if len(_candidate_orders) > 256:
+        _candidate_orders.clear()
+    _candidate_orders[key] = (catalog, order)
+    return order
+
+
 def _fallback_class(
     provider: CloudProvider, wanted: VMClass, now: float
 ) -> VMClass | None:
     """The admittable stand-in for a denied class, or ``None``.
 
     Candidates are ordered nearest-smaller first (cheaper, likelier to
-    have free slots), then nearest-larger — the catalog is sorted by
-    rated capacity, so walk outward from ``wanted``.
+    have free slots), then nearest-larger — see :func:`_candidate_order`.
     """
-    catalog = list(provider.catalog)
-    below = [c for c in catalog if c.total_capacity < wanted.total_capacity]
-    above = [
-        c
-        for c in catalog
-        if c.total_capacity > wanted.total_capacity and c.name != wanted.name
-    ]
-    for candidate in list(reversed(below)) + above:
-        if candidate.name == wanted.name:
-            continue
+    for candidate in _candidate_order(provider.catalog, wanted):
         if provider.can_provision(candidate, now):
             return candidate
     return None

@@ -127,6 +127,17 @@ class FairShare(AdmissionPolicy):
 
     name = "fair-share"
 
+    def __init__(self, weights: Optional[Mapping[int, float]] = None) -> None:
+        #: (class name, pool) → (weight table, per-tenant quota), valid for
+        #: ``_tables_for`` = (provider, its tenant count).
+        self._tables: dict[tuple[str, float], tuple[dict, dict]] = {}
+        self._tables_for: Optional[tuple[CloudProvider, int]] = None
+        super().__init__(weights)
+
+    def register(self, tenant: int, weight: float = 1.0) -> None:
+        super().register(tenant, weight)
+        self._tables.clear()
+
     def review(
         self,
         provider: CloudProvider,
@@ -140,22 +151,49 @@ class FairShare(AdmissionPolicy):
         pool = float(cap * vm_class.cores)
         if pool <= 0:
             return None
-        weights = dict(self._weights)
-        weights.setdefault(int(tenant), 1.0)
-        for t in provider.tenant_ids():
-            weights.setdefault(int(t), 1.0)
-        total_w = sum(weights[t] for t in sorted(weights))
-        held = float(provider.cores_held(tenant, vm_class))
-        want = held + vm_class.cores
+        tenant = int(tenant)
+        weights, quotas = self._table(provider, tenant, vm_class.name, pool)
+        holdings = provider.class_holdings(vm_class)
+        held = float(holdings.get(tenant, 0))
         demands: dict[int, float] = {}
-        for t, w in weights.items():
-            quota = pool * w / total_w
-            demands[t] = max(float(provider.cores_held(t, vm_class)), quota)
-        demands[int(tenant)] = float(want)
-        granted = _water_fill(demands, weights, pool)[int(tenant)]
+        for t, quota in quotas.items():
+            demands[t] = max(float(holdings.get(t, 0)), quota)
+        demands[tenant] = held + vm_class.cores
+        granted = _water_fill(demands, weights, pool)[tenant]
         if held + 1e-9 < granted:
             return None
         return self.name
+
+    def _table(
+        self, provider: CloudProvider, tenant: int, name: str, pool: float
+    ) -> tuple[dict[int, float], dict[int, float]]:
+        """Weight table and quotas (``pool · w/Σw``) for one class pool.
+
+        The table holds every registered tenant, every tenant the
+        provider knows and the requester, unregistered ones at weight 1.
+        It changes only on :meth:`register` or when the provider gains a
+        tenant, so it is cached per (class, pool) until then.  A
+        requester the provider does not know yet gets an uncached table:
+        caching it would leak its weight into other tenants' reviews.
+        """
+        stamp = (provider, provider.tenant_count())
+        if stamp != self._tables_for:
+            self._tables.clear()
+            self._tables_for = stamp
+        entry = self._tables.get((name, pool))
+        if entry is not None and tenant in entry[0]:
+            return entry
+        weights = dict(self._weights)
+        weights.setdefault(tenant, 1.0)
+        known = provider.tenant_ids()
+        for t in known:
+            weights.setdefault(int(t), 1.0)
+        total_w = sum(weights[t] for t in sorted(weights))
+        quotas = {t: pool * w / total_w for t, w in weights.items()}
+        entry = (weights, quotas)
+        if tenant in self._weights or tenant in known:
+            self._tables[(name, pool)] = entry
+        return entry
 
 
 def _water_fill(

@@ -135,7 +135,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        header = self.headers.get("Content-Length", "") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot be
+            # reused for another request.
+            self.close_connection = True
+            raise ProtocolError(f"bad Content-Length: {header!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

@@ -17,12 +17,15 @@ Usage::
     print(perf.snapshot())
 
 Counters and timers are process-local; the parallel sweep harness
-aggregates per-worker snapshots into its own report.
+aggregates per-worker snapshots into its own report.  Updates are
+thread-safe (``repro serve`` records from its worker threads): the
+enabled path takes one lock, the disabled path stays a flag test.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from contextlib import contextmanager
 from typing import Iterator
@@ -44,6 +47,8 @@ _enabled: bool = os.environ.get("REPRO_PERF", "") not in ("", "0", "false")
 _counters: dict[str, float] = {}
 #: timer name → [total seconds, invocation count].
 _timers: dict[str, list[float]] = {}
+#: Guards the read-modify-write updates of both tables.
+_lock = threading.Lock()
 
 
 def enable() -> None:
@@ -66,7 +71,8 @@ def enabled() -> bool:
 def add(name: str, n: float = 1.0) -> None:
     """Increment counter ``name`` by ``n`` (no-op when disabled)."""
     if _enabled:
-        _counters[name] = _counters.get(name, 0.0) + n
+        with _lock:
+            _counters[name] = _counters.get(name, 0.0) + n
 
 
 class _NullTimer:
@@ -96,12 +102,13 @@ class _Timer:
 
     def __exit__(self, *exc) -> None:
         elapsed = time.perf_counter() - self._t0
-        cell = _timers.get(self._name)
-        if cell is None:
-            _timers[self._name] = [elapsed, 1.0]
-        else:
-            cell[0] += elapsed
-            cell[1] += 1.0
+        with _lock:
+            cell = _timers.get(self._name)
+            if cell is None:
+                _timers[self._name] = [elapsed, 1.0]
+            else:
+                cell[0] += elapsed
+                cell[1] += 1.0
 
 
 def timer(name: str):
@@ -129,16 +136,18 @@ def collecting() -> Iterator[None]:
 
 def snapshot() -> dict:
     """Current counters and timers as plain JSON-serializable data."""
-    return {
-        "counters": dict(_counters),
-        "timers": {
-            name: {"total_s": cell[0], "count": int(cell[1])}
-            for name, cell in _timers.items()
-        },
-    }
+    with _lock:
+        return {
+            "counters": dict(_counters),
+            "timers": {
+                name: {"total_s": cell[0], "count": int(cell[1])}
+                for name, cell in _timers.items()
+            },
+        }
 
 
 def reset() -> None:
     """Clear all counters and timers (enable state is unchanged)."""
-    _counters.clear()
-    _timers.clear()
+    with _lock:
+        _counters.clear()
+        _timers.clear()

@@ -316,6 +316,50 @@ class TestFairShare:
         )
 
 
+class TestFairShareCache:
+    """The weight table is cached per class pool; a cached review must
+    always give the verdict a fresh (uncached) policy gives."""
+
+    def _fresh_verdict(self, policy, p, tenant, klass):
+        return FairShare(policy.weights).review(p, tenant, klass, 1.0)
+
+    def test_register_between_reviews(self):
+        policy = FairShare({0: 1.0})
+        p = make_provider(capacity={"m1.small": 4}, admission=policy)
+        small = p.vm_class("m1.small")
+        p.provision(small, now=0.0, tenant=0)
+        p.provision(small, now=0.0, tenant=0)
+        assert policy.review(p, 0, small, 1.0) is None
+        policy.register(1, 1.0)  # the pool now splits 2 + 2
+        verdict = policy.review(p, 0, small, 1.0)
+        assert verdict == self._fresh_verdict(policy, p, 0, small)
+        assert verdict == "fair-share"
+
+    def test_new_tenant_between_reviews(self):
+        policy = FairShare()
+        p = make_provider(capacity={"m1.small": 4}, admission=policy)
+        small = p.vm_class("m1.small")
+        p.provision(small, now=0.0, tenant=0)
+        p.provision(small, now=0.0, tenant=0)
+        assert policy.review(p, 0, small, 1.0) is None
+        p.tenant_view(1)  # tenant 1 appears at weight 1
+        verdict = policy.review(p, 0, small, 1.0)
+        assert verdict == self._fresh_verdict(policy, p, 0, small)
+        assert verdict == "fair-share"
+
+    def test_unknown_requester_does_not_leak_into_the_table(self):
+        # A requester the provider has never seen counts at weight 1 in
+        # its own review only, not in later reviews of other tenants.
+        policy = FairShare({0: 1.0})
+        p = make_provider(capacity={"m1.small": 4}, admission=policy)
+        small = p.vm_class("m1.small")
+        p.provision(small, now=0.0, tenant=0)
+        p.provision(small, now=0.0, tenant=0)
+        assert policy.review(p, 9, small, 1.0) is None
+        assert policy.review(p, 0, small, 1.0) is None
+        assert self._fresh_verdict(policy, p, 0, small) is None
+
+
 class TestWaterFill:
     def test_satisfies_everyone_under_capacity(self):
         alloc = _water_fill({0: 1.0, 1: 2.0}, {0: 1.0, 1: 1.0}, pool=4.0)

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
+from unittest import mock
 
-from repro.cloud import aws_2013_catalog
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.cloud import aws_2013_catalog, spot_variants
 from repro.core import AdaptationConfig, ClusterView, RuntimeAdaptation, Snapshot, VMView
+from repro.core import state as _state
+from repro.experiments import fig1_dataflow
 
 
 def make_cluster(catalog, allocations, coefficient=1.0, paid=1800.0):
@@ -397,3 +404,186 @@ class TestMemoizationParity:
             for _ in range(3)
         ]
         assert plans[0] == plans[1] == plans[2]
+
+
+# -- bit-identity of the incremental scale-out ------------------------------------
+
+
+def _reference_scale_out(self, snapshot, cluster, selection, input_rates):
+    """The scale-out loop that recomputes the whole fleet per grant.
+
+    Capacities are rebuilt from scratch before every grant, used cores
+    are re-summed, free VMs are picked as the head of a full sort and a
+    PE's units are ``sum()``-ed over every VM — the straightforward form
+    the incremental loop must reproduce bit for bit.
+    """
+    cfg = self.config
+    df = self.dataflow
+    required_by_pe = []
+    ideal = df.ideal_rates(selection, input_rates)
+    for name in df.forward_bfs_order():
+        backlog = float(snapshot.backlogs.get(name, 0.0))
+        drain = backlog / (cfg.drain_intervals * cfg.interval)
+        required = min(
+            cfg.omega_min * ideal[name][0] + drain,
+            cfg.burst_factor * max(ideal[name][0], 1e-9),
+        )
+        if required > 1e-9:
+            required_by_pe.append((name, required))
+    while True:
+        caps = cluster.capacities(df, selection)
+        bottleneck = None
+        worst = 1.0 - 1e-6
+        for name, required in required_by_pe:
+            ratio = caps.get(name, 0.0) / required
+            if ratio < worst:
+                bottleneck = name
+                worst = ratio
+        if bottleneck is None:
+            break
+        if sum(vm.used_cores for vm in cluster.vms) >= cfg.max_cores:
+            break
+        neighbours = set(df.successors(bottleneck)) | set(
+            df.predecessors(bottleneck)
+        )
+        free = sorted(
+            (vm for vm in cluster.vms if vm.free_cores > 0),
+            key=lambda vm: (
+                bottleneck not in vm.allocations,
+                not any(n in vm.allocations for n in neighbours),
+                -vm.core_units(),
+            ),
+        )
+        if free:
+            free[0].allocate(bottleneck, 1)
+            continue
+        if cfg.strategy == "local":
+            klass = self.catalog[-1]
+        else:
+            cost = df.active_alternate(selection, bottleneck).cost
+            demand = self._demand_rate(snapshot, bottleneck) * cost
+            held = sum(vm.units_for(bottleneck) for vm in cluster.vms)
+            deficit = max(demand - held, 0.0)
+            klass = next(
+                (c for c in self.catalog if c.total_capacity >= deficit - 1e-9),
+                self.catalog[-1],
+            )
+        cluster.new_vm(klass).allocate(bottleneck, 1)
+
+
+_FIG1 = fig1_dataflow()
+_CATALOG = aws_2013_catalog() + spot_variants(aws_2013_catalog())
+_ALTERNATES = {p.name: [a.name for a in p.alternates] for p in _FIG1.pes}
+
+
+@st.composite
+def _scale_out_case(draw):
+    vms = []
+    for i in range(draw(st.integers(0, 6))):
+        klass = draw(st.sampled_from(_CATALOG))
+        alloc = {}
+        free = klass.cores
+        for pe in _FIG1.pe_names:
+            n = draw(st.integers(0, free))
+            if n:
+                alloc[pe] = n
+                free -= n
+        vms.append(
+            VMView(
+                vm_class=klass,
+                instance_id=f"vm-{i}",
+                coefficient=draw(st.sampled_from([0.4, 0.75, 1.0, 1.3])),
+                allocations=alloc,
+                paid_seconds_remaining=draw(st.floats(0.0, 3600.0)),
+            )
+        )
+    rate = draw(st.floats(0.1, 40.0))
+    selection = {
+        pe: draw(st.sampled_from(alts)) for pe, alts in _ALTERNATES.items()
+    }
+    snapshot = Snapshot(
+        time=600.0,
+        selection=selection,
+        cluster=ClusterView(vms),
+        input_rates={"E1": rate},
+        arrival_rates={
+            pe: rate * draw(st.floats(0.0, 2.0)) for pe in _FIG1.pe_names
+        },
+        omega_last=0.5,
+        omega_average=0.5,
+        backlogs={
+            pe: draw(st.sampled_from([0.0, 0.0, 50.0, 1e4]))
+            for pe in _FIG1.pe_names
+        },
+        cumulative_cost=1.0,
+    )
+    config = AdaptationConfig(
+        strategy=draw(st.sampled_from(["local", "global"])),
+        max_cores=draw(st.integers(0, 80)),
+    )
+    return snapshot, config
+
+
+def _fleet_signature(cluster):
+    return [
+        (vm.key, vm.vm_class.name, dict(vm.allocations)) for vm in cluster.vms
+    ]
+
+
+class TestIncrementalScaleOut:
+    @settings(max_examples=200, deadline=None)
+    @given(_scale_out_case())
+    def test_plans_match_the_recompute_loop(self, case):
+        snapshot, config = case
+        a = RuntimeAdaptation(_FIG1, _CATALOG, config)
+        selection = dict(snapshot.selection)
+        input_rates = a._input_demand(snapshot)
+        plans = []
+        capacity_calls = []
+        original = ClusterView.capacities
+
+        def counting(cluster, *args, **kwargs):
+            capacity_calls.append(1)
+            return original(cluster, *args, **kwargs)
+
+        for scale_out in (_reference_scale_out, None):
+            cluster = snapshot.cluster.clone()
+            # Planned VMs draw keys from one counter: restart it per run
+            # so both plans name their new VMs alike.
+            with mock.patch.object(_state, "_new_vm_ids", itertools.count()):
+                if scale_out is None:
+                    with mock.patch.object(
+                        ClusterView, "capacities", counting
+                    ):
+                        a._scale_out(snapshot, cluster, selection, input_rates)
+                else:
+                    scale_out(a, snapshot, cluster, selection, input_rates)
+            plans.append(_fleet_signature(cluster))
+        assert plans[0] == plans[1]
+        assert len(capacity_calls) == 1
+
+    @pytest.mark.parametrize("strategy", ["local", "global"])
+    def test_one_capacities_call_however_many_grants(self, strategy):
+        cluster = make_cluster(
+            aws_2013_catalog(), [{"E1": 1, "E2": 1, "E3": 1, "E4": 1}]
+        )
+        snap = make_snapshot(
+            _FIG1, cluster, rate=30.0, omega_last=0.2, omega_average=0.2
+        )
+        a = RuntimeAdaptation(
+            _FIG1, _CATALOG, AdaptationConfig(strategy=strategy)
+        )
+        calls = []
+        original = ClusterView.capacities
+
+        def counting(cluster, *args, **kwargs):
+            calls.append(1)
+            return original(cluster, *args, **kwargs)
+
+        planned = cluster.clone()
+        with mock.patch.object(ClusterView, "capacities", counting):
+            a._scale_out(
+                snap, planned, dict(snap.selection), a._input_demand(snap)
+            )
+        assert planned.total_used_cores() - cluster.total_used_cores() > 10
+        assert len(calls) == 1

@@ -10,6 +10,10 @@ pipeline is silently zeroed by a coreless PE.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.cloud import CloudProvider, aws_2013_catalog
@@ -146,6 +150,41 @@ class TestFleetResult:
         fleet = run_fleet(mt)
         assert fleet.denied_total > 0
         assert set(fleet.utilization["denied_by_reason"]) == {"capacity"}
+
+
+class TestContendedFleetPin:
+    """A contended fair-share fleet, pinned row for row.
+
+    Every adaptation, reconcile fallback and admission review of the
+    fleet feeds its rows, so a control-plane change that alters any
+    decision moves the digest.  The pin was taken before the control
+    plane went incremental; it holds the SoA kernel (the serial loop,
+    taken under ``REPRO_VALIDATE=1``, contends in tenant order instead).
+    """
+
+    DIGEST = "b084543372b1ef05b8af47a6379f6cf6f44cbf3f54ed2f2bf64144d786ce0e3d"
+
+    def test_fair_share_fleet_digest(self, force_soa):
+        mt = multi_tenant_scenario(
+            n_tenants=24,
+            admission="fair-share",
+            capacity_tightness=0.5,
+            weights=(0.5, 1.0, 1.5, 2.0) * 6,
+        )
+        fleet = run_fleet(mt)
+        assert fleet.mode == "soa"
+        reasons = fleet.utilization["denied_by_reason"]
+        assert reasons == {"fair-share": 13, "capacity": 2901}
+        payload = {
+            "rows": [dataclasses.asdict(r) for r in fleet.rows],
+            "fleet_mu": fleet.fleet_mu,
+            "denied": fleet.utilization["denied"],
+            "denied_by_reason": reasons,
+        }
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestTenantRow:

@@ -8,9 +8,11 @@ cross-request leaks.
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -83,6 +85,26 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(req, timeout=10)
         assert exc_info.value.code == 400
+
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_400(self, daemon, client, length):
+        url = urllib.parse.urlparse(daemon.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/run")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 400
+        assert "Content-Length" in body["error"]
+        stats = client.stats()["requests"]
+        assert stats["bad_requests"] == 1
+        assert stats.get("errors", 0) == 0
 
 
 class TestRunEndpoint:

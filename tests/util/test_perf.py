@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.util import perf
@@ -30,6 +33,37 @@ class TestCounters:
         perf.add("x")
         perf.add("x", 2.5)
         assert perf.snapshot()["counters"]["x"] == 3.5
+
+
+class TestThreads:
+    def test_concurrent_adds_sum_exactly(self):
+        # repro serve records from worker threads: no increment may be
+        # lost to an interleaved read-modify-write.  A tiny switch
+        # interval makes the interpreter preempt threads mid-update.
+        perf.enable()
+        n_threads, n_adds = 8, 10_000
+        start = threading.Barrier(n_threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def work():
+            start.wait()
+            for _ in range(n_adds):
+                perf.add("x")
+                with perf.timer("t"):
+                    pass
+
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        snap = perf.snapshot()
+        assert snap["counters"]["x"] == n_threads * n_adds
+        assert snap["timers"]["t"]["count"] == n_threads * n_adds
 
 
 class TestTimers:
