@@ -51,8 +51,7 @@ def test_engine_driver_quick(tmp_path):
 
 def test_sweep_driver_quick(tmp_path):
     out = tmp_path / "BENCH_sweep.json"
-    result = bench_sweep.run_sweep_bench(quick=True, jobs=2, output=out)
-    assert result["meta"]["rows_identical"] is True
+    result = bench_sweep.run_sweep_bench(quick=True, output=out)
     assert result["meta"]["cache_rows_identical"] is True
     assert result["meta"]["batch_rows_identical"] is True
     assert result["meta"]["cache_hits"] == 2
@@ -62,7 +61,7 @@ def test_sweep_driver_quick(tmp_path):
     assert result["metrics"]["cells_per_s_batch"] > 0
     data = check_bench_json.validate_file(out)
     assert data["benchmark"] == "sweep"
-    assert data["history"][0]["metrics"]["speedup"] > 0
+    assert data["history"][0]["metrics"]["cells_per_s_serial"] > 0
 
 
 def test_decision_ns_beats_pre_pr_baseline():
@@ -314,7 +313,7 @@ def test_batch_speedup_floor_recorded():
 def test_batch_disabled_overhead_negligible():
     """ISSUE acceptance: with REPRO_BATCH off the sweep pays one
     module-global flag test per call — the exact guard runner.sweep
-    runs before falling through to the serial/parallel path."""
+    runs before falling through to the serial path."""
     from repro.experiments import batch as batch_mod
 
     batch_mod.disable()

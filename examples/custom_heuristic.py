@@ -16,15 +16,13 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro import Scenario
+from repro import Scenario, run_policy
 from repro.core import (
     DeploymentConfig,
     DeploymentPlan,
     InitialDeployment,
     Policy,
 )
-from repro.engine import RunManager
-from repro.experiments.scenarios import MESSAGE_SIZE_MB
 
 
 class Overprovisioner:
@@ -51,15 +49,7 @@ class Overprovisioner:
 
 
 def run(scenario: Scenario, policy: Policy):
-    return RunManager(
-        dataflow=scenario.dataflow,
-        profiles=scenario.profiles(),
-        policy=policy,
-        provider=scenario.provider(),
-        spec=scenario.spec,
-        tick=scenario.tick,
-        message_size_mb=MESSAGE_SIZE_MB,
-    ).run()
+    return run_policy(scenario, policy.name, policy_factory=lambda _sc: policy)
 
 
 def main() -> None:

@@ -38,12 +38,11 @@ default (bit-identical results, large speedups on steady-state-heavy
 scenarios); set ``REPRO_MACROSTEP=0`` to force per-tick stepping, e.g.
 when profiling the per-tick path itself.
 
-Sweep grids can additionally run through the structure-of-arrays batch
-engine: pass ``--batch`` on ``compare``/``figures`` (or set
-``REPRO_BATCH=1``) to advance every cache-miss grid cell in lockstep
-with one vectorized tick per step.  Rows stay bit-identical to the
-serial sweep; batching takes precedence over ``--jobs`` when both are
-given.
+Sweep grids run serially, one cell after another, by default.  Pass
+``--batch`` on ``run``/``compare``/``figures`` (or set ``REPRO_BATCH=1``)
+to advance every cache-miss grid cell in lockstep through the
+structure-of-arrays batch engine, one vectorized tick per step.  Rows
+stay bit-identical to the serial sweep.
 
 Service-mode knobs (``repro serve``; flags take precedence):
 
@@ -76,7 +75,13 @@ from .core.policies import POLICY_NAMES
 from .experiments import cache as result_cache
 from .experiments.figures import ALL_FIGURES
 from .experiments.runner import sweep
-from .experiments.scenarios import Scenario, run_policy
+from .experiments.scenarios import (
+    RATE_KINDS,
+    VARIABILITY_MODES,
+    Scenario,
+    build_manager,
+    run_policy,
+)
 from .obs.events import EVENT_TYPES
 from .obs.trace import (
     filter_events,
@@ -102,10 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_scenario_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--rate", type=float, default=5.0,
                        help="mean input rate in msg/s (default 5)")
-        p.add_argument("--rate-kind", choices=("constant", "wave", "walk"),
+        p.add_argument("--rate-kind", choices=RATE_KINDS,
                        default="constant", help="rate profile shape")
-        p.add_argument("--variability",
-                       choices=("none", "data", "infra", "both"),
+        p.add_argument("--variability", choices=VARIABILITY_MODES,
                        default="none", help="variability mode")
         p.add_argument("--period", type=float, default=3600.0,
                        help="optimization period in seconds (default 3600)")
@@ -115,24 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--billing", choices=BILLING_MODELS,
                        default="on_demand_hourly",
                        help="pricing model (default on_demand_hourly)")
-
-    def jobs_count(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < 0:
-            raise argparse.ArgumentTypeError(
-                f"must be >= 0 (0 = one per CPU), got {value}"
-            )
-        return value
-
-    def add_jobs_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--jobs", type=jobs_count, default=None, metavar="N",
-            help="worker processes for sweep grids (0 = one per CPU; "
-                 "default: the REPRO_JOBS env var, else serial)",
-        )
 
     def add_cache_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -145,13 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--batch", action="store_true",
             help="run the sweep grid through the structure-of-arrays "
                  "batch engine (same as REPRO_BATCH=1; bit-identical "
-                 "rows, takes precedence over --jobs)",
+                 "rows)",
         )
 
     run_p = sub.add_parser("run", help="run one policy on one scenario")
     run_p.add_argument("policy", choices=POLICY_NAMES)
     add_scenario_args(run_p)
-    add_jobs_arg(run_p)
     add_batch_arg(run_p)
     run_p.add_argument("--timeline", action="store_true",
                        help="print the per-interval metrics")
@@ -161,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", help="race several policies")
     cmp_p.add_argument("policies", nargs="+", choices=POLICY_NAMES)
     add_scenario_args(cmp_p)
-    add_jobs_arg(cmp_p)
     add_cache_arg(cmp_p)
     add_batch_arg(cmp_p)
 
@@ -172,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig_p.add_argument("--full", action="store_true",
                        help="paper-scale configuration (slow)")
-    add_jobs_arg(fig_p)
     add_cache_arg(fig_p)
     add_batch_arg(fig_p)
 
@@ -289,36 +272,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_no_cache(args: argparse.Namespace) -> None:
-    """Honour ``--no-cache``: disable here and in spawned sweep workers."""
+def _apply_sweep_flags(args: argparse.Namespace) -> None:
+    """Honour ``--no-cache`` (bypass the result cache) and ``--batch``
+    (route sweep grids through the batch engine) for this process."""
     if getattr(args, "no_cache", False):
-        os.environ["REPRO_CACHE"] = "0"
         result_cache.disable()
-
-
-def _apply_batch(args: argparse.Namespace) -> None:
-    """Honour ``--batch``: route sweep grids through the batch engine."""
     if getattr(args, "batch", False):
         from .experiments import batch as result_batch
 
-        os.environ["REPRO_BATCH"] = "1"
         result_batch.enable()
 
 
 def _scenario_from(args: argparse.Namespace) -> Scenario:
-    return Scenario(
-        rate=args.rate,
-        rate_kind=args.rate_kind,
-        variability=args.variability,
-        seed=args.seed,
-        period=args.period,
-        interval=args.interval,
-        billing_model=getattr(args, "billing", "on_demand_hourly"),
-    )
+    try:
+        return Scenario(
+            rate=args.rate,
+            rate_kind=args.rate_kind,
+            variability=args.variability,
+            seed=args.seed,
+            period=args.period,
+            interval=args.interval,
+            billing_model=getattr(args, "billing", "on_demand_hourly"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"repro: invalid scenario: {exc}") from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _apply_batch(args)
+    _apply_sweep_flags(args)
 
     def _execute():
         scenario = _scenario_from(args)
@@ -326,9 +307,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             # A batch of one: same RunResult, exercised through the
             # structure-of-arrays engine.
             from .engine.batch import BatchRunner
-            from .experiments.batch import _build_manager
 
-            return BatchRunner([_build_manager(scenario, args.policy)]).run()[0]
+            return BatchRunner([build_manager(scenario, args.policy)]).run()[0]
         return run_policy(scenario, args.policy)
 
     if args.trace:
@@ -356,14 +336,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    _apply_no_cache(args)
-    _apply_batch(args)
+    _apply_sweep_flags(args)
     scenario = _scenario_from(args)
     print(
         f"{'policy':>18}  {'Θ':>8}  {'Γ̄':>6}  {'Ω̄':>6}  {'ok':>3}  "
         f"{'cost $':>8}  {'peak VMs':>8}"
     )
-    rows = sweep([scenario], args.policies, jobs=args.jobs)
+    rows = sweep([scenario], args.policies)
     for r in rows:
         print(
             f"{r.policy:>18}  {r.theta:+8.4f}  {r.gamma:6.3f}  "
@@ -374,8 +353,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    _apply_no_cache(args)
-    _apply_batch(args)
+    _apply_sweep_flags(args)
     which = args.which or sorted(ALL_FIGURES)
     unknown = [w for w in which if w not in ALL_FIGURES]
     if unknown:
@@ -383,7 +361,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     for name in which:
-        result = ALL_FIGURES[name](fast=not args.full, jobs=args.jobs)
+        result = ALL_FIGURES[name](fast=not args.full)
         print(result.render())
         print()
     return 0

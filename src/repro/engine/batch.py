@@ -30,9 +30,10 @@ The mechanics that make that possible:
   network refresh, fleets with zero VMs) run per cell through the
   *same* :class:`~repro.engine.executor.FluidExecutor` helpers, which
   read and write stacked state through per-cell array views,
-* interval boundaries replay the exact statement order of
-  :meth:`RunManager.run` per cell (roll, record, snapshot, adapt,
-  reconcile), with the cell's private clock pinned to the boundary.
+* interval boundaries run each cell's
+  :class:`~repro.engine.manager.RunLoop` — the serial engine's own
+  roll/record/snapshot/adapt/reconcile body — with the cell's private
+  clock pinned to the boundary.
 
 Macro-stepping (S24) is evaluated column-wise: each cell's own
 :meth:`~repro.engine.executor.FluidExecutor._macro_change_cap` bounds
@@ -41,11 +42,13 @@ and the batch jumps only when **every** column proves a window —
 replaying the recorded per-tick increments with the same repeated
 ``+=`` and the same three-op drift recurrence as the serial engine.
 
-Failure injection is out of scope (the failure driver is a foreign
-kernel process); callers route such cells to the serial path.  The
-run-invariant validation hooks (``REPRO_VALIDATE=1``) are likewise a
-serial-path feature — :func:`repro.experiments.batch.sweep` falls back
-to per-cell runs under validation.
+Failure injection, spot revocation and checkpointing are out of scope
+(their drivers are foreign kernel processes and the batch step has no
+checkpoint sweep); the runner rejects such cells, and callers route
+them to the serial path.  The run-invariant validation hooks
+(``REPRO_VALIDATE=1``) are likewise a serial-path feature —
+:func:`repro.experiments.batch.sweep` falls back to per-cell runs under
+validation.
 """
 
 from __future__ import annotations
@@ -56,36 +59,31 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from ..core.objective import EvaluationOutcome
-from ..dataflow.metrics import IntervalMetrics, MetricsTimeline
 from ..obs import collector as _obs
 from ..sim.kernel import Environment
 from ..util import perf
-from .executor import _EPS, FluidExecutor, _macro_default, _seqsum
-from .manager import RunManager, RunResult, vm_ledger
-from .monitor import Monitor
-from .reconcile import apply_plan
+from .executor import _EPS, _macro_default, _seqsum
+from .manager import RunLoop, RunManager, RunResult
+# Cells reconcile through RunLoop; the name stays importable here for
+# instrumentation that wraps each engine module's ``apply_plan``.
+from .reconcile import apply_plan  # noqa: F401
 
 __all__ = ["BatchRunner"]
 
 
 class _CellState:
-    """One sweep cell's private run state (mirrors RunManager.run locals)."""
+    """One sweep cell: its :class:`RunLoop` plus its place in the pack."""
 
     __slots__ = (
-        "manager", "env", "ex", "monitor", "timeline", "selection",
-        "omega_sum", "adaptations", "peak", "reports", "rate_key",
-        "group", "col", "P", "V", "E", "I", "O", "input_names",
-        "backoff", "last_deliv",
+        "run", "ex", "rate_key", "group", "col", "P", "V", "E", "I", "O",
+        "input_names", "backoff", "last_deliv",
     )
 
-    def __init__(self, manager: RunManager, rate_key: Hashable) -> None:
-        self.manager = manager
+    def __init__(self, run: RunLoop, rate_key: Hashable) -> None:
+        self.run = run
+        self.ex = run.executor
         self.rate_key = rate_key
-        self.timeline = MetricsTimeline()
-        self.omega_sum = 0.0
-        self.adaptations = 0
-        self.reports: list = []
+        self.input_names = tuple(run.manager.dataflow.inputs)
         self.backoff = -math.inf
         self.last_deliv: Optional[np.ndarray] = None
 
@@ -164,7 +162,8 @@ class BatchRunner:
     managers:
         One :class:`RunManager` per cell.  All cells must share
         ``spec.interval``, ``spec.n_intervals`` and ``tick``; failure
-        injection is not supported (route those cells serially).
+        injection, spot revocation and checkpointing are not supported
+        (route those cells serially).
     rate_keys:
         Optional hashable key per cell; cells with equal keys promise
         input profiles with bitwise-identical ``rate_at`` outputs (e.g.
@@ -194,10 +193,10 @@ class BatchRunner:
         m0 = managers[0]
         shape0 = (m0.spec.interval, m0.spec.n_intervals, m0.tick)
         for m in managers:
-            if m.failures is not None and m.failures.enabled:
+            if m.uses_reliability:
                 raise ValueError(
-                    "batch runs do not support failure injection; "
-                    "run those cells serially"
+                    "batch runs do not support failure injection, spot "
+                    "revocation or checkpointing; run those cells serially"
                 )
             if (m.spec.interval, m.spec.n_intervals, m.tick) != shape0:
                 raise ValueError(
@@ -228,12 +227,14 @@ class BatchRunner:
         states = []
         for m, key in zip(self.managers, self._rate_keys):
             with self._cell_ctx(m):
-                states.append(self._init_cell(m, key))
+                # No kernel process is started: the batch drives time
+                # directly, so the Environment is just a clock + trace id.
+                run = RunLoop(m, Environment(), macrostep=False)
+            states.append(_CellState(run, key))
         spec = self.managers[0].spec
         tick = float(self.managers[0].tick)
-        n = spec.n_intervals
         t = 0.0
-        for k in range(1, n + 1):
+        for k in range(1, spec.n_intervals + 1):
             b = k * spec.interval
             pack = self._pack(states, tick)
             while t <= b:
@@ -241,10 +242,11 @@ class BatchRunner:
             for st in states:
                 self._copy_out(pack, st)
             for st in states:
-                with self._cell_ctx(st.manager):
-                    self._boundary(st, k, b, n)
+                with self._cell_ctx(st.run.manager):
+                    st.run.env._now = b
+                    st.run.boundary(k)
             self._after_boundaries(k, b)
-        return [self._finish(st) for st in states]
+        return [st.run.result() for st in states]
 
     def _cell_ctx(self, m: RunManager):
         """Trace-attribution context for one cell's serial work (init,
@@ -260,41 +262,6 @@ class BatchRunner:
 
         The base batch runner needs nothing here; multi-tenant kernels
         override it to sample shared-fleet state once per interval."""
-
-    def _init_cell(self, m: RunManager, rate_key: Hashable) -> _CellState:
-        """Mirror RunManager.run's preamble (no kernel process is started:
-        the batch drives time directly, so the executor never ticks on
-        its own and the cell's Environment is just a clock + trace id)."""
-        st = _CellState(m, rate_key)
-        env = Environment()
-        with perf.timer("policy.initial_plan"):
-            plan = m.policy.initial_plan(m.estimated_rates)
-        ex = FluidExecutor(
-            env,
-            m.dataflow,
-            m.provider,
-            m.profiles,
-            selection=plan.selection,
-            tick=m.tick,
-            message_size_mb=m.message_size_mb,
-            macrostep=False,
-        )
-        monitor = Monitor(
-            m.dataflow,
-            m.provider,
-            ex,
-            noise_std=m.monitor_noise_std,
-            seed=m.monitor_seed,
-        )
-        st.reports = [apply_plan(m.provider, ex, plan, env.now)]
-        RunManager._trace_reconcile(st.reports[0], env.now, interval=0)
-        st.env = env
-        st.ex = ex
-        st.monitor = monitor
-        st.selection = dict(plan.selection)
-        st.peak = len(m.provider.active_instances())
-        st.input_names = tuple(m.dataflow.inputs)
-        return st
 
     # -- packing --------------------------------------------------------------
 
@@ -376,9 +343,7 @@ class BatchRunner:
                 grp.v0.append(st)
             st.group = grp
 
-        pack.gate_at = max(st.backoff for st in states)
-        pack.mig_watch = {st.col for st in cols if st.ex._migrating}
-        pack.unhosted_watch = {st.col for st in cols if st.ex._unhosted}
+        self._start_epoch(pack, cols)
         if perf.enabled():
             perf.add("batch.packs")
             perf.add("batch.columns", len(states))
@@ -427,19 +392,9 @@ class BatchRunner:
         pack.gain_col = np.zeros((C, Omax)) if pack.gain_simple else None
 
         for c, st in enumerate(cols):
+            self._load_column(pack, c, st)
             ex = st.ex
-            P, V, E = st.P, st.V, st.E
-            pack.alloc[c, :P, :V] = ex._alloc
-            pack.backlog[c, :P, :V] = ex._backlog
-            ex._backlog = pack.backlog[c, :P, :V]
-            pack.egress[c, :E, :V] = ex._egress
-            ex._egress = pack.egress[c, :E, :V]
-            pack.budget[c, :E, :V] = ex._remote_budget
-            ex._remote_budget = pack.budget[c, :E, :V]
-            pack.core_speed[c, :V] = ex._core_speed
-            pack.ready_time[c, :V] = ex._ready_time
-            pack.cost[c, :P, 0] = ex._cost
-            pack.selectivity[c, :P, 0] = ex._selectivity
+            P, E = st.P, st.E
             pack.edge_factors[c, :E, 0] = ex._edge_factors
             pack.edge_dst[c, :E] = ex._edge_dst
             pack.edge_src[c, :E] = ex._edge_src
@@ -452,8 +407,6 @@ class BatchRunner:
             pack.acc_arr[c, :P] = ex._acc_arrivals
             pack.acc_proc[c, :P] = ex._acc_processed
             pack.acc_del[c, :st.O] = ex._acc_delivered
-            if pack.gain_simple:
-                pack.gain_col[c, :st.O] = ex._gain[:, 0]
 
         self._pack_coefs(pack, cols)
 
@@ -465,12 +418,6 @@ class BatchRunner:
         pack.edge_src_flat = row0 + pack.edge_src
         pack.output_flat = row0 + pack.output_idx
         pack.in_flat_ravel = pack.in_flat.ravel()
-        # Per-cell network refresh deadlines, mirrored out of the
-        # executors so the per-tick check is one scalar comparison.
-        pack.refresh_at = np.array(
-            [st.ex._next_net_refresh for st in cols]
-        )
-        pack.next_refresh = float(pack.refresh_at.min())
         self._pack_reuse = (layout, sigs, pack, tick)
         return pack
 
@@ -534,56 +481,69 @@ class BatchRunner:
         the identity argument in :meth:`_pack`.  Only the per-epoch
         scalars, the freshly-reset interval accumulators, and the
         ``changed`` cells' rows need work."""
-        pack.gate_at = max(st.backoff for st in pack.states)
-        pack.mig_watch = {st.col for st in cols if st.ex._migrating}
-        pack.unhosted_watch = {st.col for st in cols if st.ex._unhosted}
-        # roll_interval reset every executor's accumulators to zeros at
-        # the boundary we just crossed; mirror that wholesale.
+        self._start_epoch(pack, cols)
+        # Closing the interval we just crossed reset every executor's
+        # accumulators to zeros; mirror that wholesale.
         pack.acc_ext.fill(0.0)
         pack.acc_deliv.fill(0.0)
         pack.acc_arr.fill(0.0)
         pack.acc_proc.fill(0.0)
         pack.acc_del.fill(0.0)
         for c in changed:
-            st = cols[c]
-            ex = st.ex
-            P, V, E = st.P, st.V, st.E
-            # Snapshot the buffers before zeroing the cell's planes: a
-            # selection-only change leaves them aliased to these very
-            # planes, and fill() would wipe the live state.
-            backlog = np.array(ex._backlog)
-            egress = np.array(ex._egress)
-            budget = np.array(ex._remote_budget)
-            pack.alloc[c].fill(0.0)
-            pack.alloc[c, :P, :V] = ex._alloc
-            pack.backlog[c].fill(0.0)
-            pack.backlog[c, :P, :V] = backlog
-            ex._backlog = pack.backlog[c, :P, :V]
-            pack.egress[c].fill(0.0)
-            pack.egress[c, :E, :V] = egress
-            ex._egress = pack.egress[c, :E, :V]
-            pack.budget[c].fill(np.inf)
-            pack.budget[c, :E, :V] = budget
-            ex._remote_budget = pack.budget[c, :E, :V]
-            pack.core_speed[c].fill(0.0)
-            pack.core_speed[c, :V] = ex._core_speed
-            pack.ready_time[c].fill(np.inf)
-            pack.ready_time[c, :V] = ex._ready_time
-            pack.cost[c, :P, 0] = ex._cost
-            pack.selectivity[c, :P, 0] = ex._selectivity
-            if pack.gain_simple:
-                pack.gain_col[c, :st.O] = ex._gain[:, 0]
+            self._load_column(pack, c, cols[c])
         if changed:
             self._pack_coefs(pack, cols)
-        pack.refresh_at = np.array(
-            [st.ex._next_net_refresh for st in cols]
-        )
-        pack.next_refresh = float(pack.refresh_at.min())
         if perf.enabled():
             perf.add("batch.packs")
             perf.add("batch.pack_reuses")
             perf.add("batch.columns", len(pack.states))
             perf.add("batch.pack_cells_refreshed", len(changed))
+
+    @staticmethod
+    def _start_epoch(pack: _Pack, cols: list[_CellState]) -> None:
+        """Per-epoch scalars: the macro gate, the rare-path watch sets,
+        and the per-cell network refresh deadlines, mirrored out of the
+        executors so the per-tick check is one scalar comparison."""
+        pack.gate_at = max(st.backoff for st in pack.states)
+        pack.mig_watch = {st.col for st in cols if st.ex._migrating}
+        pack.unhosted_watch = {st.col for st in cols if st.ex._unhosted}
+        pack.refresh_at = np.array([st.ex._next_net_refresh for st in cols])
+        pack.next_refresh = (
+            float(pack.refresh_at.min()) if cols else math.inf
+        )
+
+    @staticmethod
+    def _load_column(pack: _Pack, c: int, st: _CellState) -> None:
+        """Write a cell's fleet- and selection-dependent rows into
+        column ``c`` (padding restored) and alias the cell's mutable
+        buffers to per-cell views of the pack."""
+        ex = st.ex
+        P, V, E = st.P, st.V, st.E
+        # Snapshot the buffers before zeroing the cell's planes: a
+        # selection-only change leaves them aliased to these very
+        # planes, and fill() would wipe the live state.
+        backlog = np.array(ex._backlog)
+        egress = np.array(ex._egress)
+        budget = np.array(ex._remote_budget)
+        pack.alloc[c].fill(0.0)
+        pack.alloc[c, :P, :V] = ex._alloc
+        pack.backlog[c].fill(0.0)
+        pack.backlog[c, :P, :V] = backlog
+        ex._backlog = pack.backlog[c, :P, :V]
+        pack.egress[c].fill(0.0)
+        pack.egress[c, :E, :V] = egress
+        ex._egress = pack.egress[c, :E, :V]
+        pack.budget[c].fill(np.inf)
+        pack.budget[c, :E, :V] = budget
+        ex._remote_budget = pack.budget[c, :E, :V]
+        pack.core_speed[c].fill(0.0)
+        pack.core_speed[c, :V] = ex._core_speed
+        pack.ready_time[c].fill(np.inf)
+        pack.ready_time[c, :V] = ex._ready_time
+        pack.cost[c, :P, 0] = ex._cost
+        pack.selectivity[c, :P, 0] = ex._selectivity
+        if pack.gain_simple:
+            pack.gain_col[c, :st.O] = ex._gain[:, 0]
 
     def _copy_out(self, pack: _Pack, st: _CellState) -> None:
         """Write a cell's stacked accumulators back into its executor
@@ -742,7 +702,7 @@ class BatchRunner:
                     ex._migrating = [
                         m for m in ex._migrating if m.available_at > t
                     ]
-                    st.env._now = t
+                    st.run.env._now = t
                     for m in due:
                         ex._deposit(m.pe, m.messages)
                 if not ex._migrating:
@@ -886,56 +846,4 @@ class BatchRunner:
         return _TickRecord(
             ext_add, deliv_inc, arr_inc, proc_inc, del_inc,
             arr_real, cap_msgs, served,
-        )
-
-    # -- interval boundaries --------------------------------------------------
-
-    def _boundary(self, st: _CellState, k: int, b: float, n: int) -> None:
-        """Replay RunManager.run's per-interval body for one cell."""
-        m = st.manager
-        st.env._now = b
-        ex = st.ex
-        stats = ex.roll_interval()
-        omega_k = stats.omega(m.dataflow.outputs)
-        st.omega_sum += omega_k
-        st.timeline.record(
-            IntervalMetrics(
-                t=stats.start,
-                value=m.dataflow.application_value(st.selection),
-                throughput=omega_k,
-                cumulative_cost=m.provider.cost_at(st.env.now),
-                delivered=sum(stats.delivered.values()),
-                deliverable=sum(stats.deliverable.values()),
-            )
-        )
-        if m.policy.adaptive and k < n:
-            snap = st.monitor.snapshot(
-                stats, st.selection, st.omega_sum / k, st.env.now
-            )
-            with perf.timer("policy.adapt"):
-                new_plan = m.policy.adapt(snap, k)
-            if new_plan is not None:
-                perf.add("policy.adaptations")
-                report = apply_plan(m.provider, ex, new_plan, st.env.now)
-                RunManager._trace_reconcile(report, st.env.now, interval=k)
-                st.reports.append(report)
-                if report.changed or dict(new_plan.selection) != st.selection:
-                    st.adaptations += 1
-                st.selection = dict(new_plan.selection)
-        st.peak = max(st.peak, len(m.provider.active_instances()))
-
-    def _finish(self, st: _CellState) -> RunResult:
-        m = st.manager
-        return RunResult(
-            policy_name=m.policy.name,
-            spec=m.spec,
-            timeline=st.timeline,
-            outcome=EvaluationOutcome.from_timeline(st.timeline, m.spec),
-            vms_provisioned=len(m.provider.all_instances()),
-            vms_peak=st.peak,
-            adaptations=st.adaptations,
-            final_selection=st.selection,
-            reports=st.reports,
-            crashes=[],
-            vm_ledger=vm_ledger(m.provider),
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from ..cloud.failures import FailureModel, SpotRevocationModel
 from ..cloud.provider import CloudProvider
@@ -29,7 +29,7 @@ from .failures import CrashRecord, FailureDriver, FailureOracle
 from .monitor import Monitor
 from .reconcile import ReconcileReport, apply_plan
 
-__all__ = ["RunManager", "RunResult", "vm_ledger"]
+__all__ = ["RunLoop", "RunManager", "RunResult", "vm_ledger"]
 
 
 @dataclass
@@ -180,47 +180,19 @@ class RunManager:
             hedge_horizon if hedge_horizon is not None else 2.0 * spec.interval
         )
 
-    @staticmethod
-    def _trace_reconcile(
-        report, now: float, interval: int, tenant_id: Optional[int] = None
-    ) -> None:
-        """Emit an allocation_changed event for a non-empty reconciliation.
-
-        ``tenant_id=None`` defers to the collector's ambient tenant, so
-        single-tenant runs stay on tenant 0 and multi-tenant fleets stamp
-        the owner from either the provider view or the surrounding
-        :func:`repro.obs.collector.tenant` context.
-        """
-        if _trace.enabled() and report.changed:
-            _trace.emit(
-                "allocation_changed",
-                t=now,
-                tenant_id=tenant_id,
-                interval=interval,
-                provisioned=len(report.provisioned),
-                terminated=len(report.terminated),
-                cores_allocated=report.cores_allocated,
-                cores_released=report.cores_released,
-            )
+    @property
+    def uses_reliability(self) -> bool:
+        """True when failures, spot revocations or checkpointing are on
+        (serial-engine features: their drivers are kernel processes)."""
+        return (
+            (self.failures is not None and self.failures.enabled)
+            or (self.revocations is not None and self.revocations.enabled)
+            or self.checkpoint_interval is not None
+        )
 
     def run(self) -> RunResult:
         """Execute the full optimization period and return the results."""
-        spec = self.spec
         env = Environment()
-        with perf.timer("policy.initial_plan"):
-            plan = self.policy.initial_plan(self.estimated_rates)
-
-        executor = FluidExecutor(
-            env,
-            self.dataflow,
-            self.provider,
-            self.profiles,
-            selection=plan.selection,
-            tick=self.tick,
-            message_size_mb=self.message_size_mb,
-            checkpoint_interval=self.checkpoint_interval,
-            restore_latency=self.restore_latency,
-        )
         failures = (
             self.failures
             if self.failures is not None and self.failures.enabled
@@ -239,19 +211,19 @@ class RunManager:
                 revocations=revocations,
                 horizon=self.hedge_horizon,
             )
-        monitor = Monitor(
-            self.dataflow,
-            self.provider,
-            executor,
-            noise_std=self.monitor_noise_std,
-            seed=self.monitor_seed,
+        loop = RunLoop(
+            self,
+            env,
             oracle=oracle,
+            checkpoint_interval=self.checkpoint_interval,
+            restore_latency=self.restore_latency,
         )
+        executor = loop.executor
         if executor.macro_enabled:
             # Macro jumps must wake at every time this loop acts on the
             # run: the adaptation interval boundaries and (so cost
             # snapshots always follow a real tick) VM billing-hour edges.
-            interval = float(spec.interval)
+            interval = float(self.spec.interval)
             executor.add_macro_boundary(
                 lambda t: (math.floor(t / interval) + 1.0) * interval
             )
@@ -270,10 +242,6 @@ class RunManager:
                 return nxt
 
             executor.add_macro_boundary(_billing_edges)
-
-        tenant_id = getattr(self.provider, "tenant_id", None)
-        reports = [apply_plan(self.provider, executor, plan, env.now)]
-        self._trace_reconcile(reports[0], env.now, interval=0, tenant_id=tenant_id)
         executor.start()
 
         failure_driver: Optional[FailureDriver] = None
@@ -287,67 +255,140 @@ class RunManager:
             )
             failure_driver.start()
 
-        timeline = MetricsTimeline()
-        selection = dict(plan.selection)
-        omega_sum = 0.0
-        adaptations = 0
-        peak = len(self.provider.active_instances())
+        for k in range(1, self.spec.n_intervals + 1):
+            env.run(until=k * self.spec.interval)
+            loop.boundary(k)
+        return loop.result(failure_driver.crashes if failure_driver else ())
 
-        n = spec.n_intervals
-        for k in range(1, n + 1):
-            env.run(until=k * spec.interval)
-            stats = executor.roll_interval()
-            omega_k = stats.omega(self.dataflow.outputs)
-            omega_sum += omega_k
-            timeline.record(
-                IntervalMetrics(
-                    t=stats.start,
-                    value=self.dataflow.application_value(selection),
-                    throughput=omega_k,
-                    cumulative_cost=self.provider.cost_at(env.now),
-                    delivered=sum(stats.delivered.values()),
-                    deliverable=sum(stats.deliverable.values()),
-                )
+
+class RunLoop:
+    """One managed run between its interval boundaries.
+
+    Holds the deploy → (roll, record, snapshot, adapt, reconcile)* →
+    result loop of :meth:`RunManager.run` without advancing time itself:
+    whoever owns the clock (the serial kernel, or the SoA
+    :class:`~repro.engine.batch.BatchRunner` stepping many cells in
+    lockstep) moves ``env`` to the ``k``-th boundary and calls
+    :meth:`boundary`.  Both engines therefore share one statement order
+    per interval, which is what keeps their rows bit-identical.
+
+    Construction is the run's preamble: the initial plan, the executor
+    (``executor_options`` are forwarded to
+    :class:`~repro.engine.executor.FluidExecutor`), the monitor and the
+    first reconciliation.
+    """
+
+    def __init__(
+        self,
+        manager: RunManager,
+        env: Environment,
+        oracle: Optional[FailureOracle] = None,
+        **executor_options,
+    ) -> None:
+        m = self.manager = manager
+        self.env = env
+        with perf.timer("policy.initial_plan"):
+            plan = m.policy.initial_plan(m.estimated_rates)
+        self.executor = FluidExecutor(
+            env,
+            m.dataflow,
+            m.provider,
+            m.profiles,
+            selection=plan.selection,
+            tick=m.tick,
+            message_size_mb=m.message_size_mb,
+            **executor_options,
+        )
+        self.monitor = Monitor(
+            m.dataflow,
+            m.provider,
+            self.executor,
+            noise_std=m.monitor_noise_std,
+            seed=m.monitor_seed,
+            oracle=oracle,
+        )
+        self.timeline = MetricsTimeline()
+        self.selection = dict(plan.selection)
+        self.omega_sum = 0.0
+        self.adaptations = 0
+        self._tenant_id = getattr(m.provider, "tenant_id", None)
+        self.reports = [self._reconcile(plan, interval=0)]
+        self.peak = len(m.provider.active_instances())
+
+    def _reconcile(self, plan, interval: int) -> ReconcileReport:
+        """Apply ``plan`` now; trace it when it changed the fleet.
+
+        The trace names the owning tenant from a provider view, or
+        defers to the collector's ambient tenant (tenant 0 for a
+        single-tenant run)."""
+        now = self.env.now
+        report = apply_plan(self.manager.provider, self.executor, plan, now)
+        if _trace.enabled() and report.changed:
+            _trace.emit(
+                "allocation_changed",
+                t=now,
+                tenant_id=self._tenant_id,
+                interval=interval,
+                provisioned=len(report.provisioned),
+                terminated=len(report.terminated),
+                cores_allocated=report.cores_allocated,
+                cores_released=report.cores_released,
             )
-            if self.policy.adaptive and k < n:
-                snap = monitor.snapshot(stats, selection, omega_sum / k, env.now)
-                with perf.timer("policy.adapt"):
-                    new_plan = self.policy.adapt(snap, k)
-                if new_plan is not None:
-                    perf.add("policy.adaptations")
-                    report = apply_plan(
-                        self.provider, executor, new_plan, env.now
-                    )
-                    self._trace_reconcile(
-                        report, env.now, interval=k, tenant_id=tenant_id
-                    )
-                    reports.append(report)
-                    if report.changed or dict(new_plan.selection) != selection:
-                        adaptations += 1
-                    selection = dict(new_plan.selection)
-            peak = max(peak, len(self.provider.active_instances()))
+        return report
 
-        outcome = EvaluationOutcome.from_timeline(timeline, spec)
-        crashes = list(failure_driver.crashes) if failure_driver else []
+    def boundary(self, k: int) -> None:
+        """Close interval ``k`` (``env`` already at its end) and adapt."""
+        m = self.manager
+        env = self.env
+        stats = self.executor.roll_interval()
+        omega_k = stats.omega(m.dataflow.outputs)
+        self.omega_sum += omega_k
+        self.timeline.record(
+            IntervalMetrics(
+                t=stats.start,
+                value=m.dataflow.application_value(self.selection),
+                throughput=omega_k,
+                cumulative_cost=m.provider.cost_at(env.now),
+                delivered=sum(stats.delivered.values()),
+                deliverable=sum(stats.deliverable.values()),
+            )
+        )
+        if m.policy.adaptive and k < m.spec.n_intervals:
+            snap = self.monitor.snapshot(
+                stats, self.selection, self.omega_sum / k, env.now
+            )
+            with perf.timer("policy.adapt"):
+                new_plan = m.policy.adapt(snap, k)
+            if new_plan is not None:
+                perf.add("policy.adaptations")
+                report = self._reconcile(new_plan, interval=k)
+                self.reports.append(report)
+                if report.changed or dict(new_plan.selection) != self.selection:
+                    self.adaptations += 1
+                self.selection = dict(new_plan.selection)
+        self.peak = max(self.peak, len(m.provider.active_instances()))
+
+    def result(self, crashes: Sequence[CrashRecord] = ()) -> RunResult:
+        """The run's :class:`RunResult` after its last boundary."""
+        m = self.manager
+        crashes = list(crashes)
         return RunResult(
-            policy_name=self.policy.name,
-            spec=spec,
-            timeline=timeline,
-            outcome=outcome,
-            vms_provisioned=len(self.provider.all_instances()),
-            vms_peak=peak,
-            adaptations=adaptations,
-            final_selection=selection,
-            reports=reports,
+            policy_name=m.policy.name,
+            spec=m.spec,
+            timeline=self.timeline,
+            outcome=EvaluationOutcome.from_timeline(self.timeline, m.spec),
+            vms_provisioned=len(m.provider.all_instances()),
+            vms_peak=self.peak,
+            adaptations=self.adaptations,
+            final_selection=self.selection,
+            reports=self.reports,
             crashes=crashes,
-            recovery_times=self._recovery_times(crashes, timeline),
-            vm_ledger=vm_ledger(self.provider),
+            recovery_times=self._recovery_times(crashes),
+            vm_ledger=vm_ledger(m.provider),
         )
 
     def _recovery_times(
-        self,
-        crashes: list[CrashRecord],
-        timeline: MetricsTimeline,
+        self, crashes: list[CrashRecord]
     ) -> list[Optional[float]]:
         """Sim-time from each crash until throughput clears Ω̂ again.
 
@@ -356,11 +397,11 @@ class RunManager:
         The interval granularity is deliberate — the monitor only observes
         Ω at interval boundaries, so that is when recovery is detectable.
         """
-        spec = self.spec
+        spec = self.manager.spec
         out: list[Optional[float]] = []
         for crash in crashes:
             recovered: Optional[float] = None
-            for m in timeline:
+            for m in self.timeline:
                 end = m.t + spec.interval
                 if (
                     end > crash.t + 1e-9

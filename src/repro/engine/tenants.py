@@ -426,12 +426,9 @@ class TenantFleet:
 
     @property
     def uses_reliability(self) -> bool:
-        """True when any tenant runs failure/revocation machinery."""
-        return any(
-            (m.failures is not None and m.failures.enabled)
-            or (m.revocations is not None and m.revocations.enabled)
-            for m in self.managers
-        )
+        """True when any tenant runs failure/revocation/checkpoint
+        machinery."""
+        return any(m.uses_reliability for m in self.managers)
 
     def run(self) -> FleetResult:
         """Execute every tenant's full optimization period.

@@ -8,11 +8,12 @@ for the whole grid.  Rows are bit-identical to the serial
 :func:`repro.experiments.runner.sweep` loop (test-enforced), so batching
 composes transparently with the result cache:
 
-* cache **hits** are served per cell exactly as the serial loop serves
-  them — the batch only computes the misses,
+* cache **hits** are served per cell by
+  :func:`repro.experiments.cache.serve_lookup`, exactly as the serial
+  loop serves them — the batch only computes the misses,
 * every finished batch column is written back through
-  :func:`repro.experiments.cache.store` as a normal per-cell entry, so
-  later serial (or parallel) sweeps hit on batch-produced rows and vice
+  :func:`repro.experiments.cache.store_result` as a normal per-cell
+  entry, so later serial sweeps hit on batch-produced rows and vice
   versa.
 
 Cells the batch engine cannot take are routed through the ordinary
@@ -30,9 +31,7 @@ serial path (:func:`repro.experiments.cache.run_cell`):
   separate batches.
 
 Enable with ``REPRO_BATCH=1`` (or the CLI ``--batch`` flag); the default
-is the serial/parallel path.  When batching is on it takes precedence
-over process-parallel dispatch (``REPRO_JOBS``): one process stepping
-all cells in lockstep replaces the worker pool.
+is the serial path.
 """
 
 from __future__ import annotations
@@ -41,12 +40,12 @@ import os
 from typing import Iterable, Optional, Sequence
 
 from ..engine.batch import BatchRunner
-from ..engine.manager import RunManager
 from ..util import perf
 from ..validate import invariants as _validate
 from . import cache
 from .runner import SweepRow
-from .scenarios import MESSAGE_SIZE_MB, Scenario
+from .scenarios import Scenario
+from .scenarios import build_manager as _build_manager
 
 __all__ = ["enable", "disable", "enabled", "sweep"]
 
@@ -68,20 +67,6 @@ def disable() -> None:
 def enabled() -> bool:
     """Whether sweeps route through the batch engine."""
     return _enabled
-
-
-def _build_manager(scenario: Scenario, policy_name: str) -> RunManager:
-    """Construct the cell's manager exactly as ``run_policy`` does."""
-    return RunManager(
-        dataflow=scenario.dataflow,
-        profiles=scenario.profiles(),
-        policy=scenario.policy(policy_name),
-        provider=scenario.provider(),
-        spec=scenario.spec,
-        tick=scenario.tick,
-        message_size_mb=MESSAGE_SIZE_MB,
-        failures=scenario.failures(),
-    )
 
 
 def sweep(
@@ -108,22 +93,15 @@ def sweep(
 
     batchable: list[int] = []
     for i, (scenario, policy) in enumerate(cells):
-        # Mirror cache.run_cell's gating: subclasses may override
-        # behaviour the structural fingerprint cannot see.
-        cacheable = cache.enabled() and type(scenario) is Scenario
-        if cacheable:
-            key = cache.cache_key(scenario, policy)
-            row = cache.lookup(key)
-            if row is not None:
-                perf.add("cache.hits")
-                _trace_cache(True, key, policy)
-                rows[i] = row
-                continue
         if scenario.uses_reliability:
             # Failure injection, spot revocation and checkpointing are
             # serial-engine features (the drivers are foreign kernel
             # processes and the batch step has no checkpoint sweep).
             rows[i] = cache.run_cell(scenario, policy)
+            continue
+        warm = cache.serve_lookup(scenario, policy)
+        if warm is not None:
+            rows[i] = warm[0]
             continue
         batchable.append(i)
 
@@ -147,29 +125,8 @@ def sweep(
         perf.add("batch.cells", len(members))
         results = runner.run()
         for i, result in zip(members, results):
-            scenario, policy = cells[i]
-            row = SweepRow.from_result(scenario, result)
-            rows[i] = row
-            if cache.enabled() and type(scenario) is Scenario:
-                perf.add("cache.misses")
-                key = cache.cache_key(scenario, policy)
-                _trace_cache(False, key, policy)
-                cache.store(
-                    key,
-                    policy,
-                    row,
-                    fingerprint=scenario.fingerprint(),
-                    ledger=result.vm_ledger,
-                )
+            rows[i] = cache.store_result(*cells[i], result)
     perf.add("batch.groups", len(groups))
 
     assert all(r is not None for r in rows)
     return rows  # type: ignore[return-value]
-
-
-def _trace_cache(hit: bool, key: str, policy: str) -> None:
-    from ..obs import collector as _trace
-
-    _trace.emit(
-        "cache_hit" if hit else "cache_miss", t=0.0, key=key, policy=policy
-    )

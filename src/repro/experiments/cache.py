@@ -90,6 +90,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..cloud.resources import VMClass, VMInstance
+from ..engine.manager import RunResult
 from ..obs import collector as _trace
 from ..util import perf
 from ..validate import invariants as _validate
@@ -110,6 +111,7 @@ __all__ = [
     "delta_lookup",
     "serve_lookup",
     "run_cell",
+    "store_result",
     "enable_serve_tier",
     "disable_serve_tier",
     "serve_tier_enabled",
@@ -142,7 +144,7 @@ _code_fp_stat: Optional[tuple] = None
 _code_fp_checked: float = float("-inf")
 
 #: Subpackages whose source a sweep cell executes.  Harness-only layers
-#: (figures, parallel, cli, report, obs, util, serve, this module) are
+#: (figures, cli, report, obs, util, serve, this module) are
 #: excluded: they shape orchestration, not row values.
 _FINGERPRINTED_PACKAGES = (
     "cloud",
@@ -888,29 +890,38 @@ def serve_lookup(
 def run_cell(scenario: Scenario, policy_name: str) -> SweepRow:
     """Execute one (scenario, policy) grid cell through the cache.
 
-    The serial sweep loop, the parallel workers, and the serve daemon's
-    cold path all funnel through here.  Warm answers come from
-    :func:`serve_lookup` (LRU / disk / delta); a cold cell runs the
-    simulation and stores the row with its fingerprint and VM ledger.
+    The serial sweep loop and the serve daemon's cold path both funnel
+    through here.  Warm answers come from :func:`serve_lookup` (LRU /
+    disk / delta); a cold cell runs the simulation and goes through
+    :func:`store_result`.
     """
-    if _bypass(scenario):
-        return SweepRow.from_result(
-            scenario, run_policy(scenario, policy_name)
-        )
     warm = serve_lookup(scenario, policy_name)
     if warm is not None:
         return warm[0]
+    return store_result(
+        scenario, policy_name, run_policy(scenario, policy_name)
+    )
+
+
+def store_result(
+    scenario: Scenario, policy_name: str, result: RunResult
+) -> SweepRow:
+    """The row of a freshly simulated cell, counted as a miss and stored
+    with its fingerprint and VM ledger (unless the cell bypasses the
+    cache).  The batch engine's cells land here too, so serial and
+    batched sweeps leave identical entries behind."""
+    row = SweepRow.from_result(scenario, result)
+    if _bypass(scenario):
+        return row
     key = cache_key(scenario, policy_name)
     perf.add("cache.misses")
     _trace.emit("cache_miss", t=0.0, key=key, policy=policy_name)
-    result = run_policy(scenario, policy_name)
-    row = SweepRow.from_result(scenario, result)
     store(
         key,
         policy_name,
         row,
         fingerprint=scenario.fingerprint(),
-        ledger=getattr(result, "vm_ledger", None),
+        ledger=result.vm_ledger,
     )
     if _serve_lru is not None:
         _serve_lru.put(key, row)

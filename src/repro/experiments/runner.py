@@ -2,14 +2,9 @@
 
 All figure drivers are thin layers over :func:`sweep`, which runs every
 (policy, scenario) combination through the managed engine and returns
-one :class:`SweepRow` per run.
-
-:func:`run_cells` is the reusable in-process cell entry point shared by
-the sweep loop and the serve daemon (S29): one call per (scenario,
-policy) cell through the warm/cold cache path, with the code
-fingerprint hashed once per process (mtime-invalidated) instead of per
-call — an always-on server answers every request without re-reading the
-source tree.
+one :class:`SweepRow` per run.  Each cell goes through
+:func:`repro.experiments.cache.run_cell`, the same warm/cold entry point
+the serve daemon uses per request.
 """
 
 from __future__ import annotations
@@ -19,12 +14,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ..cloud.provider import CloudProvider
 from ..core.policies import Policy
-from ..engine.manager import RunManager, RunResult
+from ..engine.manager import RunResult
 from ..engine.tenants import FleetResult, TenantFleet, make_admission
 from .scenarios import (
-    MESSAGE_SIZE_MB,
     MultiTenantScenario,
     Scenario,
+    build_manager,
     make_performance,
 )
 
@@ -32,26 +27,9 @@ __all__ = [
     "SweepRow",
     "average_rows",
     "build_fleet",
-    "run_cells",
     "run_fleet",
     "sweep",
 ]
-
-
-def run_cells(
-    cells: Iterable[tuple[Scenario, str]],
-) -> list[SweepRow]:
-    """Evaluate (scenario, policy) cells in order through the cache.
-
-    The in-process twin of one serve-daemon request: each cell is
-    answered from the warm tier (serving LRU → disk entry → delta
-    index) when possible and simulated otherwise.  The first call warms
-    the process-wide code-fingerprint memo; subsequent calls pay a
-    single TTL check instead of re-hashing ~60 source files.
-    """
-    from . import cache
-
-    return [cache.run_cell(scenario, policy) for scenario, policy in cells]
 
 
 @dataclass(frozen=True)
@@ -118,40 +96,27 @@ class SweepRow:
 def sweep(
     scenarios: Iterable[Scenario],
     policies: Sequence[str],
-    jobs: Optional[int] = None,
 ) -> list[SweepRow]:
     """Run every policy on every scenario (deterministic order).
-
-    ``jobs`` (default: the ``REPRO_JOBS`` environment variable, else 1)
-    fans the independent grid cells across worker processes via
-    :mod:`repro.experiments.parallel`; results are bit-identical to the
-    serial loop, in the same scenario-major/policy-minor order.
 
     With ``REPRO_BATCH=1`` (or the CLI ``--batch`` flag) the grid runs
     through the structure-of-arrays batch engine instead
     (:mod:`repro.experiments.batch`) — one process advancing every
     cache-miss cell in lockstep, still bit-identical to this loop.
-    Batching takes precedence over ``jobs``.
 
     Cells run through the content-addressed result cache
     (:mod:`repro.experiments.cache`) unless it is disabled, so repeated
     sweeps of unchanged configurations reuse their stored rows.
     """
-    from .parallel import resolve_jobs
-
-    from . import batch
+    from . import batch, cache
 
     if batch.enabled():
         return batch.sweep(scenarios, policies)
-    if resolve_jobs(jobs) > 1:
-        from . import parallel
-
-        return parallel.sweep(scenarios, policies, jobs=jobs)
-    return run_cells(
-        (scenario, policy)
+    return [
+        cache.run_cell(scenario, policy)
         for scenario in scenarios
         for policy in policies
-    )
+    ]
 
 
 def build_fleet(
@@ -164,8 +129,8 @@ def build_fleet(
     One :class:`CloudProvider` carries the whole fleet: finite per-class
     pools from ``mt.capacity_tightness``, the admission policy from
     ``mt.admission``, and one shared performance model.  Each tenant's
-    :class:`RunManager` mirrors :func:`~.scenarios.run_policy`'s
-    construction exactly — against a
+    :class:`RunManager` comes from :func:`~.scenarios.build_manager`,
+    as in :func:`~.scenarios.run_policy` — against a
     :class:`~repro.cloud.provider.TenantProvider` view instead of a
     private provider — so an uncontended fleet reproduces the isolated
     runs bit for bit.
@@ -184,29 +149,12 @@ def build_fleet(
         # created by tenant_billing() shares this model.
         billing_model=scenarios[0].billing(),
     )
-    managers = []
-    for k, sc in enumerate(scenarios):
-        policy = (
-            policy_factory(sc)
-            if policy_factory is not None
-            else sc.policy(mt.policy)
+    managers = [
+        build_manager(
+            sc, mt.policy, policy_factory, provider=provider.tenant_view(k)
         )
-        managers.append(
-            RunManager(
-                dataflow=sc.dataflow,
-                profiles=sc.profiles(),
-                policy=policy,
-                provider=provider.tenant_view(k),
-                spec=sc.spec,
-                tick=sc.tick,
-                message_size_mb=MESSAGE_SIZE_MB,
-                failures=sc.failures(),
-                revocations=sc.revocations(),
-                checkpoint_interval=sc.checkpoint_interval,
-                restore_latency=sc.restore_latency,
-                hedge_horizon=sc.hedge_horizon,
-            )
-        )
+        for k, sc in enumerate(scenarios)
+    ]
     return TenantFleet(
         managers,
         provider,

@@ -19,9 +19,10 @@ Defines the experimental setup every figure shares:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Literal, Optional
+from typing import Callable, Literal, Optional, get_args
 
 from ..cloud.billing import BILLING_MODELS, BillingModel, make_billing_model
 from ..cloud.failures import FailureModel, SpotRevocationModel
@@ -51,8 +52,11 @@ __all__ = [
     "MultiTenantScenario",
     "failure_storm_scenario",
     "multi_tenant_scenario",
+    "build_manager",
     "run_policy",
+    "RATE_KINDS",
     "RateKind",
+    "VARIABILITY_MODES",
     "VariabilityMode",
     "OMEGA_MIN",
     "EPSILON",
@@ -61,6 +65,10 @@ __all__ = [
 
 RateKind = Literal["constant", "wave", "walk"]
 VariabilityMode = Literal["none", "data", "infra", "both"]
+#: The valid names, checked by :func:`make_profile`,
+#: :func:`make_performance` and every scenario at construction.
+RATE_KINDS: tuple[str, ...] = get_args(RateKind)
+VARIABILITY_MODES: tuple[str, ...] = get_args(VariabilityMode)
 
 #: Paper-wide constants (§8.2): Ω̂ = 0.7, ε = 0.05, ~100 KB messages.
 OMEGA_MIN = 0.7
@@ -178,15 +186,25 @@ def standard_spec(
     )
 
 
+def _check_choice(what: str, value, valid: tuple[str, ...]) -> None:
+    if value not in valid:
+        raise ValueError(f"unknown {what} {value!r}; known: {valid}")
+
+
+def _check_seed(seed) -> None:
+    # bool is an Integral too, but ``seed=True`` is a caller mistake.
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+
+
 def make_profile(kind: RateKind, rate: float, seed: int = 0) -> RateProfile:
     """One of the three §8.1 rate profiles at a given mean rate."""
+    _check_choice("rate kind", kind, RATE_KINDS)
     if kind == "constant":
         return ConstantRate(rate)
     if kind == "wave":
         return PeriodicWave(mean=rate, amplitude=rate * 0.5, period=3600.0)
-    if kind == "walk":
-        return RandomWalkRate(mean=rate, step_sigma=0.08, seed=seed)
-    raise ValueError(f"unknown rate kind {kind!r}")
+    return RandomWalkRate(mean=rate, step_sigma=0.08, seed=seed)
 
 
 def make_performance(
@@ -198,6 +216,7 @@ def make_performance(
     ideal; ``infra`` and ``both`` replay the synthetic FutureGrid-like
     traces.
     """
+    _check_choice("variability mode", mode, VARIABILITY_MODES)
     if mode in ("none", "data"):
         return ConstantPerformance()
     return TraceReplayPerformance(_trace_library(seed))
@@ -268,8 +287,14 @@ class Scenario:
     billing_trace_cap: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        # ``not rate > 0`` also rejects NaN; ``isfinite`` rejects +inf.
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ValueError(
+                f"rate must be positive and finite, got {self.rate!r}"
+            )
+        _check_choice("rate kind", self.rate_kind, RATE_KINDS)
+        _check_choice("variability mode", self.variability, VARIABILITY_MODES)
+        _check_seed(self.seed)
         if self.billing_model not in BILLING_MODELS:
             raise ValueError(
                 f"unknown billing model {self.billing_model!r}; "
@@ -458,6 +483,9 @@ class MultiTenantScenario:
     def __post_init__(self) -> None:
         if self.n_tenants < 1:
             raise ValueError("need at least one tenant")
+        _check_choice("rate kind", self.rate_kind, RATE_KINDS)
+        _check_choice("variability mode", self.variability, VARIABILITY_MODES)
+        _check_seed(self.seed)
         if self.billing_model not in BILLING_MODELS:
             raise ValueError(
                 f"unknown billing model {self.billing_model!r}; "
@@ -570,22 +598,27 @@ def failure_storm_scenario(
     )
 
 
-def run_policy(
+def build_manager(
     scenario: Scenario,
     policy_name: str,
     policy_factory: Optional[Callable[[Scenario], Policy]] = None,
-) -> RunResult:
-    """Run one policy on one scenario and return its results."""
+    provider: Optional[CloudProvider] = None,
+) -> RunManager:
+    """The :class:`RunManager` for one (scenario, policy) cell.
+
+    ``provider`` defaults to a fresh ``scenario.provider()``; a
+    multi-tenant fleet passes each tenant its view of the shared cloud.
+    """
     policy = (
         policy_factory(scenario)
         if policy_factory is not None
         else scenario.policy(policy_name)
     )
-    manager = RunManager(
+    return RunManager(
         dataflow=scenario.dataflow,
         profiles=scenario.profiles(),
         policy=policy,
-        provider=scenario.provider(),
+        provider=provider if provider is not None else scenario.provider(),
         spec=scenario.spec,
         tick=scenario.tick,
         message_size_mb=MESSAGE_SIZE_MB,
@@ -595,4 +628,12 @@ def run_policy(
         restore_latency=scenario.restore_latency,
         hedge_horizon=scenario.hedge_horizon,
     )
-    return manager.run()
+
+
+def run_policy(
+    scenario: Scenario,
+    policy_name: str,
+    policy_factory: Optional[Callable[[Scenario], Policy]] = None,
+) -> RunResult:
+    """Run one policy on one scenario and return its results."""
+    return build_manager(scenario, policy_name, policy_factory).run()

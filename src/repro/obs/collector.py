@@ -12,7 +12,7 @@ current sim time pass it explicitly (``emit(..., t=now)``); sites that
 don't can rely on the clock the simulation kernel binds at
 :class:`~repro.sim.kernel.Environment` construction (see
 :func:`bind_clock`).  The collector is process-local, like the perf
-counters; each parallel-sweep worker records its own trace.
+counters.
 
 Usage::
 

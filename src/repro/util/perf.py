@@ -16,10 +16,9 @@ Usage::
     perf.add("engine.ticks")
     print(perf.snapshot())
 
-Counters and timers are process-local; the parallel sweep harness
-aggregates per-worker snapshots into its own report.  Updates are
-thread-safe (``repro serve`` records from its worker threads): the
-enabled path takes one lock, the disabled path stays a flag test.
+Counters and timers are process-local.  Updates are thread-safe
+(``repro serve`` records from its worker threads): the enabled path
+takes one lock, the disabled path stays a flag test.
 """
 
 from __future__ import annotations

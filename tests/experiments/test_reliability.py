@@ -6,7 +6,8 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import failure_storm_scenario, run_policy
+from repro.engine.batch import BatchRunner
+from repro.experiments import build_manager, failure_storm_scenario, run_policy
 from repro.experiments.report import _reliability_section
 from repro.validate import invariants
 
@@ -49,6 +50,25 @@ class TestFailureStormScenario:
         assert calm.crashes == []
         assert calm.recovery_times == []
         assert calm.mean_recovery_s is None
+
+
+class TestBatchEngineRefusesReliabilityCells:
+    """The SoA engine has no revocation driver or checkpoint sweep, so a
+    reliability cell handed to it directly must be refused, not run
+    without its failures."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"checkpoint_interval": None},
+            {"spot_mtbf_hours": None},
+        ],
+    )
+    def test_rejected(self, overrides):
+        manager = build_manager(storm(period=300.0, **overrides), "global")
+        with pytest.raises(ValueError, match="serially"):
+            BatchRunner([manager])
 
 
 class TestHedgedStorm:

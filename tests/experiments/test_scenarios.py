@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.experiments import (
     EPSILON,
     OMEGA_MIN,
+    MultiTenantScenario,
     Scenario,
     fig1_dataflow,
     make_performance,
@@ -107,6 +111,45 @@ class TestScenario:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             Scenario(rate=0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            Scenario(rate=rate)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("variability", "bogus"),
+            ("variability", None),
+            ("rate_kind", "bogus"),
+            ("rate_kind", "Wave"),
+            ("seed", "x"),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", None),
+        ],
+    )
+    def test_bad_field_rejected_at_construction(self, field, value):
+        with pytest.raises((TypeError, ValueError), match=field.split("_")[-1]):
+            Scenario(rate=5.0, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("variability", "bogus"), ("rate_kind", "bogus"), ("seed", 1.5)],
+    )
+    def test_fleet_rejects_bad_field_at_construction(self, field, value):
+        with pytest.raises((TypeError, ValueError), match=field.split("_")[-1]):
+            MultiTenantScenario(n_tenants=2, **{field: value})
+
+    def test_integral_seeds_accepted(self):
+        assert Scenario(rate=5.0, seed=np.int64(3)).seed == 3
+
+    def test_factories_share_the_name_check(self):
+        with pytest.raises(ValueError, match="variability"):
+            make_performance("bogus")
+        with pytest.raises(ValueError, match="rate kind"):
+            make_profile("bogus", 5.0)
 
     def test_run_policy_end_to_end(self):
         sc = Scenario(rate=3.0, period=300.0)

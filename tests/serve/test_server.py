@@ -17,6 +17,7 @@ import urllib.request
 
 import pytest
 
+from repro.experiments import cache
 from repro.experiments.runner import SweepRow
 from repro.experiments.scenarios import Scenario, run_policy
 from repro.obs import collector as _trace
@@ -105,6 +106,31 @@ class TestEndpoints:
         stats = client.stats()["requests"]
         assert stats["bad_requests"] == 1
         assert stats.get("errors", 0) == 0
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate", float("nan")),
+            ("rate", float("inf")),
+            ("variability", "bogus"),
+            ("rate_kind", "bogus"),
+            ("seed", "x"),
+            ("seed", 1.5),
+        ],
+    )
+    def test_invalid_scenario_value_400_caches_nothing(
+        self, daemon, client, field, value
+    ):
+        before = cache.stats()["entries"]
+        with pytest.raises(ServerError) as exc_info:
+            client.run({**SCENARIO, field: value})
+        assert exc_info.value.status == 400
+        assert "invalid scenario" in exc_info.value.detail
+        stats = client.stats()["requests"]
+        assert stats["bad_requests"] == 1
+        assert stats.get("errors", 0) == 0
+        assert cache.stats()["entries"] == before
 
 
 class TestRunEndpoint:

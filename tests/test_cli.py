@@ -41,6 +41,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Θ=" in out and "final selection" in out
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0"])
+    def test_run_rejects_bad_rate_without_running(self, rate):
+        with pytest.raises(SystemExit, match="invalid scenario"):
+            main(["run", "static-local", "--rate", rate, "--period", "300"])
+
     def test_run_with_timeline(self, capsys):
         code = main(
             ["run", "static-local", "--rate", "3", "--period", "300",
